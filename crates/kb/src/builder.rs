@@ -14,8 +14,8 @@ use paris_rdf::vocab;
 use crate::closure::close_taxonomy;
 use crate::functionality::{compute_functionalities, FunctionalityVariant};
 use crate::fxhash::FxHashMap;
-use crate::ids::{EntityId, EntityKind, RelationId};
-use crate::store::Kb;
+use crate::ids::{EntityId, EntityKind};
+use crate::store::{adjacency, Kb};
 
 /// Incremental builder for a [`Kb`].
 ///
@@ -205,20 +205,7 @@ impl KbBuilder {
         }
 
         // 3. Both-direction adjacency.
-        let mut adj: Vec<Vec<(RelationId, EntityId)>> = vec![Vec::new(); self.terms.len()];
-        for (base, list) in pairs.iter().enumerate() {
-            let fwd = RelationId::forward(base);
-            let inv = fwd.inverse();
-            for &(x, y) in list {
-                adj[x.index()].push((fwd, y));
-                adj[y.index()].push((inv, x));
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-            list.shrink_to_fit();
-        }
+        let adj = adjacency(self.terms.len(), &pairs);
 
         // 4. Entity kinds: literals were known at intern time; classes are
         //    everything in class position of rdf:type / rdfs:subClassOf.

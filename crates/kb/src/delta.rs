@@ -508,6 +508,94 @@ mod tests {
         }
     }
 
+    /// Deltas that add to one relation and remove from another on the
+    /// same entities leave every adjacency row sorted and equal to a
+    /// rebuild from the resulting facts. (Removals used to binary-search
+    /// rows that an earlier relation's additions had left unsorted, and
+    /// could miss the entry, leaving a stale fact behind.)
+    #[test]
+    fn mixed_deltas_keep_adjacency_equal_to_a_rebuild() {
+        let mut state = 11u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % m
+        };
+        for case in 0..40 {
+            let mut facts = std::collections::BTreeSet::new();
+            for _ in 0..30 {
+                facts.insert((next(8), next(5), next(8)));
+            }
+            let build = |facts: &std::collections::BTreeSet<(u64, u64, u64)>| {
+                let mut b = KbBuilder::new("base");
+                for e in 0..8 {
+                    // Every entity exists, with or without facts.
+                    b.add_literal_fact(
+                        format!("http://x/e{e}"),
+                        "http://x/id",
+                        Literal::plain(format!("{e}")),
+                    );
+                }
+                for &(s, r, o) in facts {
+                    b.add_fact(
+                        format!("http://x/e{s}"),
+                        format!("http://x/r{r}"),
+                        format!("http://x/e{o}"),
+                    );
+                }
+                b.build()
+            };
+            let kb = build(&facts);
+            let mut delta = KbDelta::new("base");
+            let mut after = facts.clone();
+            let mut touched = std::collections::BTreeSet::new();
+            for _ in 0..14 {
+                let fact = (next(8), next(5), next(8));
+                if !touched.insert(fact) {
+                    // Removals apply before additions: touch a fact once.
+                    continue;
+                }
+                let (s, r, o) = fact;
+                let (s, r, o) = (
+                    format!("http://x/e{s}"),
+                    format!("http://x/r{r}"),
+                    format!("http://x/e{o}"),
+                );
+                if next(2) == 0 {
+                    delta.add_fact(s, r, o);
+                    after.insert(fact);
+                } else if after.remove(&fact) {
+                    delta.remove_fact(s, r, o);
+                }
+            }
+            let applied = apply(&kb, &delta).unwrap();
+            let rebuilt = build(&after);
+            let render = |kb: &Kb, e: crate::ids::EntityId| {
+                let mut out: Vec<String> = kb
+                    .facts(e)
+                    .iter()
+                    .map(|&(r, y)| format!("{} {}", kb.relation_display(r), kb.term(y)))
+                    .collect();
+                out.sort();
+                out
+            };
+            for e in rebuilt.entities() {
+                let via_delta = applied.kb.entity(rebuilt.term(e)).unwrap();
+                assert!(
+                    applied.kb.facts(via_delta).is_sorted(),
+                    "case {case}: row unsorted"
+                );
+                assert_eq!(
+                    render(&applied.kb, via_delta),
+                    render(&rebuilt, e),
+                    "case {case}: facts of {}",
+                    rebuilt.term(e)
+                );
+            }
+        }
+    }
+
     #[test]
     fn schema_predicates_are_rejected() {
         let mut delta = KbDelta::new("base");

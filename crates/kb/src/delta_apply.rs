@@ -12,6 +12,7 @@ use crate::delta::{DeltaError, KbDelta};
 use crate::functionality::{functionality_of, FunctionalityVariant};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ids::{EntityId, EntityKind, RelationId};
+use crate::rows::Rows;
 use crate::store::Kb;
 use paris_rdf::term::Term;
 
@@ -97,7 +98,7 @@ pub fn apply_owned_with_functionality(
         terms: &mut Vec<Term>,
         kinds: &mut Vec<EntityKind>,
         term_index: &mut FxHashMap<Term, EntityId>,
-        adj: &mut Vec<Vec<(RelationId, EntityId)>>,
+        adj: &mut Rows<(RelationId, EntityId)>,
     ) -> EntityId {
         if let Some(&id) = term_index.get(term) {
             return id;
@@ -109,7 +110,7 @@ pub fn apply_owned_with_functionality(
         } else {
             EntityKind::Instance
         });
-        adj.push(Vec::new());
+        adj.push_row(&[]);
         term_index.insert(term.clone(), id);
         id
     }
@@ -162,7 +163,9 @@ pub fn apply_owned_with_functionality(
         .collect();
     let mut resource_touched: FxHashSet<EntityId> = FxHashSet::default();
     let mut touched_bases: FxHashSet<usize> = FxHashSet::default();
-    let mut resort: FxHashSet<EntityId> = FxHashSet::default();
+    // New adjacency entries per entity, merged into each row once at the
+    // end (a row that grows moves to the end of the adjacency buffer).
+    let mut grown: FxHashMap<EntityId, Vec<(RelationId, EntityId)>> = FxHashMap::default();
     let mut added_count = 0usize;
     let mut removed_count = 0usize;
 
@@ -177,8 +180,8 @@ pub fn apply_owned_with_functionality(
             list.retain(|pair| {
                 if remove_set.contains(pair) {
                     let (x, y) = *pair;
-                    retain_out(&mut adj[x.index()], (fwd, y));
-                    retain_out(&mut adj[y.index()], (inv, x));
+                    retain_out(adj, x, (fwd, y));
+                    retain_out(adj, y, (inv, x));
                     touched_entities.insert(x);
                     touched_entities.insert(y);
                     if kinds[y.index()] != EntityKind::Literal {
@@ -195,25 +198,23 @@ pub fn apply_owned_with_functionality(
         }
 
         if let Some(adds) = additions.get(&base) {
-            let existing: FxHashSet<(EntityId, EntityId)> = list.iter().copied().collect();
+            // The pair list is sorted, so membership is a binary search.
             let mut fresh: Vec<(EntityId, EntityId)> = adds
                 .iter()
                 .copied()
-                .filter(|p| !existing.contains(p))
+                .filter(|p| list.binary_search(p).is_err())
                 .collect();
             fresh.sort_unstable();
             fresh.dedup();
             for &(x, y) in &fresh {
-                adj[x.index()].push((fwd, y));
-                adj[y.index()].push((inv, x));
+                grown.entry(x).or_default().push((fwd, y));
+                grown.entry(y).or_default().push((inv, x));
                 touched_entities.insert(x);
                 touched_entities.insert(y);
                 if kinds[y.index()] != EntityKind::Literal {
                     resource_touched.insert(x);
                     resource_touched.insert(y);
                 }
-                resort.insert(x);
-                resort.insert(y);
                 added_count += 1;
                 changed = true;
             }
@@ -225,9 +226,15 @@ pub fn apply_owned_with_functionality(
             touched_bases.insert(base);
         }
     }
-    for e in resort {
-        adj[e.index()].sort_unstable();
+    let mut row = Vec::new();
+    for (e, entries) in grown {
+        row.clear();
+        row.extend_from_slice(adj.row(e.index()));
+        row.extend(entries);
+        row.sort_unstable();
+        adj.set(e.index(), &row);
     }
+    adj.compact_if_sparse();
 
     // Refresh functionalities of touched relations only.
     for &base in &touched_bases {
@@ -255,9 +262,9 @@ pub fn apply_owned_with_functionality(
     })
 }
 
-/// Removes one `(relation, entity)` entry from a sorted adjacency row.
-fn retain_out(row: &mut Vec<(RelationId, EntityId)>, entry: (RelationId, EntityId)) {
-    if let Ok(pos) = row.binary_search(&entry) {
-        row.remove(pos);
+/// Removes one `(relation, entity)` entry from `e`'s sorted adjacency row.
+fn retain_out(adj: &mut Rows<(RelationId, EntityId)>, e: EntityId, entry: (RelationId, EntityId)) {
+    if let Ok(pos) = adj.row(e.index()).binary_search(&entry) {
+        adj.remove(e.index(), pos);
     }
 }

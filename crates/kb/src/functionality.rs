@@ -13,7 +13,6 @@
 //! compare them. The inverse functionality `fun⁻¹(r)` is always
 //! `fun(r⁻¹)`, i.e. the same computation over swapped pairs.
 
-use crate::fxhash::FxHashMap;
 use crate::ids::{EntityId, RelationId};
 use crate::store::Kb;
 
@@ -68,16 +67,20 @@ struct DirectionStats {
     sum_reciprocal_fanout: f64,
 }
 
-fn direction_stats(group_sizes: &FxHashMap<EntityId, u32>) -> DirectionStats {
+/// The statistics of one direction from its group sizes (the number of
+/// second arguments of each distinct first argument).
+fn direction_stats(group_sizes: impl Iterator<Item = usize>) -> DirectionStats {
+    let mut distinct = 0;
     let mut sum_sq = 0.0;
     let mut sum_recip = 0.0;
-    for &n in group_sizes.values() {
-        let n = f64::from(n);
+    for n in group_sizes {
+        let n = n as f64;
+        distinct += 1;
         sum_sq += n * n;
         sum_recip += 1.0 / n;
     }
     DirectionStats {
-        distinct_sources: group_sizes.len(),
+        distinct_sources: distinct,
         sum_squared_fanout: sum_sq,
         sum_reciprocal_fanout: sum_recip,
     }
@@ -95,14 +98,15 @@ pub fn functionality_of(kb: &Kb, base: usize, variant: FunctionalityVariant) -> 
     if n_pairs == 0 {
         return (1.0, 1.0);
     }
-    let mut by_subject: FxHashMap<EntityId, u32> = FxHashMap::default();
-    let mut by_object: FxHashMap<EntityId, u32> = FxHashMap::default();
-    for (x, y) in kb.pairs(fwd) {
-        *by_subject.entry(x).or_insert(0) += 1;
-        *by_object.entry(y).or_insert(0) += 1;
-    }
-    let s = direction_stats(&by_subject);
-    let o = direction_stats(&by_object);
+    // The pair list is sorted, so each subject's pairs form one run; the
+    // objects are sorted here to group them the same way. Groups are
+    // visited in id order.
+    let pairs = &kb.pairs[base];
+    debug_assert!(pairs.is_sorted(), "pair lists are sorted");
+    let mut objects: Vec<EntityId> = pairs.iter().map(|&(_, y)| y).collect();
+    objects.sort_unstable();
+    let s = direction_stats(pairs.chunk_by(|a, b| a.0 == b.0).map(<[_]>::len));
+    let o = direction_stats(objects.chunk_by(|a, b| a == b).map(<[_]>::len));
     let n = n_pairs as f64;
     match variant {
         FunctionalityVariant::HarmonicMean => {

@@ -40,6 +40,7 @@ pub mod functionality;
 pub mod fxhash;
 pub mod ids;
 pub mod ingest;
+pub mod rows;
 pub mod snapshot;
 pub mod snapshot_v2;
 pub mod stats;
@@ -54,6 +55,7 @@ pub use functionality::FunctionalityVariant;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use ids::{EntityId, EntityKind, RelationId};
 pub use ingest::{ingest_file, ingest_reader, IngestError, IngestOptions, IngestReport};
+pub use rows::Rows;
 pub use snapshot_v2::{KbLayout, KbView, MappedKbSnapshot, SnapshotArena};
 pub use stats::KbStats;
 pub use store::Kb;

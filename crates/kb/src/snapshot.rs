@@ -38,8 +38,8 @@ use std::path::Path;
 use paris_rdf::term::{Iri, Literal, Term};
 
 use crate::fxhash::FxHashMap;
-use crate::ids::{EntityId, EntityKind, RelationId};
-use crate::store::Kb;
+use crate::ids::{EntityId, EntityKind};
+use crate::store::{adjacency, Kb};
 use crate::wire;
 
 /// The 8-byte file magic.
@@ -651,32 +651,10 @@ pub fn decode_kb(r: &mut PayloadReader<'_>) -> Result<Kb, SnapshotError> {
         fun.push(r.get_f64()?);
     }
 
-    // Rebuild the both-direction adjacency from the pair lists. Exact
-    // degrees are counted first so each entity's row is allocated once.
-    // Entries are unique by construction (each relation's pair list is
-    // deduplicated and contributes distinct relation ids), so only the
-    // builder's sort is replayed — the loaded KB is field-identical to
-    // the one that was saved.
-    let mut degree = vec![0usize; num_entities];
-    for list in &pairs {
-        for &(x, y) in list {
-            degree[x.index()] += 1; // audit:allow(no-panic-decode): id validated by check_entity
-            degree[y.index()] += 1; // audit:allow(no-panic-decode): id validated by check_entity
-        }
-    }
-    let mut adj: Vec<Vec<(RelationId, EntityId)>> =
-        degree.into_iter().map(Vec::with_capacity).collect();
-    for (base, list) in pairs.iter().enumerate() {
-        let fwd = RelationId::forward(base);
-        let inv = fwd.inverse();
-        for &(x, y) in list {
-            adj[x.index()].push((fwd, y)); // audit:allow(no-panic-decode): id validated by check_entity
-            adj[y.index()].push((inv, x)); // audit:allow(no-panic-decode): id validated by check_entity
-        }
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-    }
+    // Rebuild the both-direction adjacency from the pair lists (every id
+    // was validated by check_entity above), exactly as the builder does,
+    // so the loaded KB is field-identical to the one that was saved.
+    let adj = adjacency(num_entities, &pairs);
 
     Ok(Kb {
         name,

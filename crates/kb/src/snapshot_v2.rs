@@ -76,6 +76,7 @@ use paris_rdf::term::{Iri, Literal, LiteralKind, Term};
 use crate::arena::Arena;
 use crate::fxhash::FxHashMap;
 use crate::ids::{EntityId, EntityKind, RelationId};
+use crate::rows::Rows;
 use crate::snapshot::{
     write_bytes_atomic, PayloadReader, PayloadWriter, SnapshotError, SnapshotKind, MAGIC,
 };
@@ -818,7 +819,7 @@ pub fn encode_kb_sections(kb: &Kb, base: u32, w: &mut SectionWriter) {
     let mut adj = PayloadWriter::new();
     let mut total = 0u64;
     adj_offsets.put_u64(0);
-    for row in &kb.adj {
+    for row in kb.adj.iter() {
         total += row.len() as u64;
         adj_offsets.put_u64(total);
         for &(r, e) in row {
@@ -1402,9 +1403,13 @@ impl<'a> KbView<'a> {
         let pairs: Vec<Vec<(EntityId, EntityId)>> = (0..self.layout.num_relations)
             .map(|b| self.base_pairs(b).collect())
             .collect();
-        let adj: Vec<Vec<(RelationId, EntityId)>> = (0..n)
-            .map(|i| self.facts(EntityId::from_index(i)).collect())
-            .collect();
+        let mut adj = Rows::default();
+        let mut row = Vec::new();
+        for i in 0..n {
+            row.clear();
+            row.extend(self.facts(EntityId::from_index(i)));
+            adj.push_row(&row);
+        }
         let fun: Vec<f64> = (0..2 * self.layout.num_relations)
             .map(|i| le_f64(self.sec(&self.layout.fun), i))
             .collect();

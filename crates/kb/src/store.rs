@@ -12,6 +12,7 @@ use paris_rdf::term::{Iri, Literal, Term};
 use crate::functionality::{compute_functionalities, FunctionalityVariant};
 use crate::fxhash::FxHashMap;
 use crate::ids::{EntityId, EntityKind, RelationId};
+use crate::rows::Rows;
 
 /// An immutable, indexed RDFS knowledge base (one "ontology" of the paper).
 ///
@@ -30,8 +31,9 @@ pub struct Kb {
     pub(crate) relation_names: Vec<Iri>,
     pub(crate) relation_index: FxHashMap<Iri, u32>,
     // ---- facts ----
-    /// Per entity: all `(r, y)` with `r(x, y)`, including inverse directions.
-    pub(crate) adj: Vec<Vec<(RelationId, EntityId)>>,
+    /// Per entity: all `(r, y)` with `r(x, y)`, including inverse
+    /// directions, sorted.
+    pub(crate) adj: Rows<(RelationId, EntityId)>,
     /// Per *base* relation: sorted, deduplicated forward pairs `(x, y)`.
     pub(crate) pairs: Vec<Vec<(EntityId, EntityId)>>,
     // ---- schema ----
@@ -135,7 +137,7 @@ impl Kb {
     /// `r(a, b)` appears as `(r, b)` on `a` and `(r⁻¹, a)` on `b`.
     #[inline]
     pub fn facts(&self, e: EntityId) -> &[(RelationId, EntityId)] {
-        &self.adj[e.index()]
+        self.adj.row(e.index())
     }
 
     /// Total number of stored (forward) facts.
@@ -282,4 +284,39 @@ impl std::fmt::Debug for Kb {
             .field("facts", &self.num_facts())
             .finish()
     }
+}
+
+/// The both-direction adjacency of per-relation pair lists: a fact
+/// `r(a, b)` becomes `(r, b)` in row `a` and `(r⁻¹, a)` in row `b`, and
+/// each row is sorted. Entries are unique when each pair list is (each
+/// list contributes its own two relation ids). Every id must be below
+/// `num_entities`.
+pub(crate) fn adjacency(
+    num_entities: usize,
+    pairs: &[Vec<(EntityId, EntityId)>],
+) -> Rows<(RelationId, EntityId)> {
+    let mut degree = vec![0usize; num_entities];
+    for &(x, y) in pairs.iter().flatten() {
+        degree[x.index()] += 1;
+        degree[y.index()] += 1;
+    }
+    let mut adj = Rows::with_lengths(
+        degree.iter().copied(),
+        (RelationId::forward(0), EntityId::from_index(0)),
+    );
+    // Fill each row from its end, counting its degree back down.
+    for (base, list) in pairs.iter().enumerate() {
+        let fwd = RelationId::forward(base);
+        let inv = fwd.inverse();
+        for &(x, y) in list {
+            degree[x.index()] -= 1;
+            adj.row_mut(x.index())[degree[x.index()]] = (fwd, y);
+            degree[y.index()] -= 1;
+            adj.row_mut(y.index())[degree[y.index()]] = (inv, x);
+        }
+    }
+    for i in 0..num_entities {
+        adj.row_mut(i).sort_unstable();
+    }
+    adj
 }

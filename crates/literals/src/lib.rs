@@ -30,4 +30,4 @@ pub mod similarity;
 pub use distance::{levenshtein, levenshtein_similarity, token_jaccard};
 pub use normalize::{normalize_alnum, token_sort_key, tokens};
 pub use numeric::{parse_numeric, proportional_difference};
-pub use similarity::LiteralSimilarity;
+pub use similarity::{BlockKey, LiteralSimilarity};

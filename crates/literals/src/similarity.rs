@@ -17,11 +17,35 @@
 //! * [`probability`](LiteralSimilarity::probability) — the clamped
 //!   `Pr(x ≡ y)` for a candidate pair.
 
+use std::borrow::Cow;
+
 use paris_rdf::Literal;
 
 use crate::distance::levenshtein_similarity;
 use crate::normalize::{normalize_alnum, token_sort_key};
-use crate::numeric::{canonical_key, numeric_probability, parse_numeric};
+use crate::numeric::{canonical_bits, numeric_probability, parse_numeric};
+
+/// A blocking key. Numbers key by the bits of their rounded value (see
+/// [`canonical_bits`]); strings key by text, borrowed from the literal
+/// when the key is the literal's own value.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum BlockKey<'a> {
+    /// A numeric value, by [`canonical_bits`].
+    Number(u64),
+    /// A string value or a normalized form of it.
+    Text(Cow<'a, str>),
+}
+
+impl BlockKey<'_> {
+    /// The key of a value under numeric normalization: its number when it
+    /// parses as one, else the value itself.
+    fn numeric_or_text(value: &str) -> BlockKey<'_> {
+        match parse_numeric(value) {
+            Some(x) => BlockKey::Number(canonical_bits(x)),
+            None => BlockKey::Text(Cow::Borrowed(value)),
+        }
+    }
+}
 
 /// A literal-equivalence function: blocking keys + clamped probability.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -66,35 +90,28 @@ impl LiteralSimilarity {
         }
     }
 
-    /// Blocking keys of a literal. Two literals with disjoint key sets have
-    /// probability 0 by construction.
-    pub fn keys(&self, literal: &Literal) -> Vec<String> {
+    /// Blocking keys of a literal (one or two). Two literals with
+    /// disjoint key sets have probability 0 by construction.
+    pub fn keys<'a>(&self, literal: &'a Literal) -> impl Iterator<Item = BlockKey<'a>> {
         let value = literal.value();
-        match self {
-            LiteralSimilarity::Identity => {
-                vec![match parse_numeric(value) {
-                    Some(x) => canonical_key(x),
-                    None => value.to_owned(),
-                }]
+        let owned = |s: String| BlockKey::Text(Cow::Owned(s));
+        let (first, second) = match self {
+            LiteralSimilarity::Identity | LiteralSimilarity::NumericProportional { .. } => {
+                (BlockKey::numeric_or_text(value), None)
             }
-            LiteralSimilarity::Normalized => vec![normalize_alnum(value)],
+            LiteralSimilarity::Normalized => (owned(normalize_alnum(value)), None),
             LiteralSimilarity::EditDistance { .. } => {
                 let norm = normalize_alnum(value);
                 let prefix: String = norm.chars().take(4).collect();
                 if prefix == norm {
-                    vec![norm]
+                    (owned(norm), None)
                 } else {
-                    vec![norm, format!("p:{prefix}")]
+                    (owned(norm), Some(owned(format!("p:{prefix}"))))
                 }
             }
-            LiteralSimilarity::TokenSort => vec![token_sort_key(value)],
-            LiteralSimilarity::NumericProportional { .. } => {
-                vec![match parse_numeric(value) {
-                    Some(x) => canonical_key(x),
-                    None => value.to_owned(),
-                }]
-            }
-        }
+            LiteralSimilarity::TokenSort => (owned(token_sort_key(value)), None),
+        };
+        std::iter::once(first).chain(second)
     }
 
     /// The clamped equivalence probability `Pr(a ≡ b)`.
@@ -143,6 +160,17 @@ mod tests {
         Literal::plain(s)
     }
 
+    /// The keys of a plain literal, detached from it.
+    fn keys_of(m: &LiteralSimilarity, s: &str) -> Vec<BlockKey<'static>> {
+        let l = lit(s);
+        m.keys(&l)
+            .map(|k| match k {
+                BlockKey::Number(bits) => BlockKey::Number(bits),
+                BlockKey::Text(t) => BlockKey::Text(Cow::Owned(t.into_owned())),
+            })
+            .collect()
+    }
+
     #[test]
     fn identity_is_strict() {
         let m = LiteralSimilarity::Identity;
@@ -159,7 +187,7 @@ mod tests {
         let m = LiteralSimilarity::Identity;
         assert_eq!(m.probability(&lit("42"), &lit("42.0")), 1.0);
         assert_eq!(m.probability(&lit("42"), &lit("42.5")), 0.0);
-        assert_eq!(m.keys(&lit("42")), m.keys(&lit("4.2e1")));
+        assert_eq!(keys_of(&m, "42"), keys_of(&m, "4.2e1"));
     }
 
     #[test]
@@ -169,7 +197,7 @@ mod tests {
             m.probability(&lit("213/467-1108"), &lit("213-467-1108")),
             1.0
         );
-        assert_eq!(m.keys(&lit("213/467-1108")), m.keys(&lit("213-467-1108")));
+        assert_eq!(keys_of(&m, "213/467-1108"), keys_of(&m, "213-467-1108"));
         assert_eq!(m.probability(&lit("abc"), &lit("ABC!")), 1.0);
         assert_eq!(m.probability(&lit("abc"), &lit("abd")), 0.0);
     }
@@ -190,11 +218,12 @@ mod tests {
         let m = LiteralSimilarity::EditDistance {
             min_similarity: 0.7,
         };
-        let keys = m.keys(&lit("restaurant"));
-        assert!(keys.contains(&"restaurant".to_owned()));
-        assert!(keys.contains(&"p:rest".to_owned()));
+        let text = |s: &'static str| BlockKey::Text(Cow::Borrowed(s));
+        let keys = keys_of(&m, "restaurant");
+        assert!(keys.contains(&text("restaurant")));
+        assert!(keys.contains(&text("p:rest")));
         // short strings don't duplicate the key
-        assert_eq!(m.keys(&lit("ab")), vec!["ab".to_owned()]);
+        assert_eq!(keys_of(&m, "ab"), vec![text("ab")]);
     }
 
     #[test]
@@ -274,14 +303,70 @@ mod tests {
             for a in samples {
                 for b in samples {
                     if m.probability(&lit(a), &lit(b)) > 0.0 {
-                        let ka = m.keys(&lit(a));
-                        let kb = m.keys(&lit(b));
+                        let ka = keys_of(m, a);
+                        let kb = keys_of(m, b);
                         assert!(
                             ka.iter().any(|k| kb.contains(k)),
                             "{m:?}: {a:?} ≈ {b:?} but keys disjoint ({ka:?} / {kb:?})"
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Identity keys block exactly as the string keys they replace did:
+    /// a number by the shortest form of its 12-digit rounding, any other
+    /// value by itself.
+    #[test]
+    fn identity_keys_block_like_string_keys() {
+        let string_key = |v: &str| match parse_numeric(v) {
+            Some(x) => format!("{}", format!("{x:.12e}").parse::<f64>().unwrap_or(x)),
+            None => v.to_owned(),
+        };
+        let samples = [
+            "1975",
+            "1975.0",
+            " 1975 ",
+            "+1975",
+            "1.975e3",
+            "1975.0000000000001",
+            "-0",
+            "0",
+            "0.0",
+            "-0.0",
+            "1e21",
+            "1000000000000000000000",
+            "1e+21",
+            "1e-7",
+            "0.0000001",
+            "abc",
+            "Abc",
+            "",
+            " ",
+            "NaN",
+            "inf",
+            "-inf",
+            "1 2",
+            "0x10",
+            "1975a",
+            "3.14159265358979",
+            "3.141592653590",
+            "12345678901234567890",
+        ];
+        let m = LiteralSimilarity::Identity;
+        for a in samples {
+            let la = lit(a);
+            let sa = string_key(a);
+            let ka: Vec<_> = m.keys(&la).collect();
+            assert_eq!(ka.len(), 1);
+            match (&ka[0], parse_numeric(a)) {
+                (BlockKey::Text(Cow::Borrowed(t)), None) => assert_eq!(*t, a),
+                (BlockKey::Number(_), Some(_)) => {}
+                (k, _) => panic!("{a:?} keyed as {k:?}"),
+            }
+            for b in samples {
+                assert_eq!(ka == keys_of(&m, b), sa == string_key(b), "{a:?} vs {b:?}");
             }
         }
     }

@@ -7,27 +7,50 @@
 //! stored. Each KB-1 entity holds a short sorted row of
 //! `(KB-2 entity, probability)` candidates.
 
-use paris_kb::{EntityId, FxHashMap};
+use paris_kb::{EntityId, FxHashMap, Rows};
 
 /// One candidate row per source entity: `(target entity, probability)`
 /// pairs, sorted by entity id. The common currency between the passes.
 pub type CandidateRows = Vec<Vec<(EntityId, f64)>>;
 
 /// A sparse `Pr(x ≡ x′)` matrix between the entities of two KBs.
+///
+/// Each direction keeps its rows in one buffer ([`Rows`]), so copying a
+/// store — the incremental re-aligner's warm start — is two buffer copies
+/// per direction, not one allocation per row.
 #[derive(Clone, Debug, Default)]
 pub struct EquivStore {
     /// Row per KB-1 entity: candidates in KB-2, sorted by entity id.
-    forward: Vec<Vec<(EntityId, f64)>>,
+    forward: Rows<(EntityId, f64)>,
     /// Row per KB-2 entity: candidates in KB-1, derived from `forward`.
-    backward: Vec<Vec<(EntityId, f64)>>,
+    backward: Rows<(EntityId, f64)>,
+}
+
+/// The rows indexed by target entity: row `z` of the result lists every
+/// `(i, p)` with `(z, p)` in row `i`, sorted by `i`.
+pub(crate) fn transposed(rows: &Rows<(EntityId, f64)>, n: usize) -> Rows<(EntityId, f64)> {
+    let mut lengths = vec![0usize; n];
+    for &(z, _) in rows.iter().flatten() {
+        lengths[z.index()] += 1;
+    }
+    let mut out = Rows::with_lengths(lengths.iter().copied(), (EntityId::from_index(0), 0.0));
+    // Walking the rows in order fills each output row in order.
+    let mut filled = vec![0usize; n];
+    for (i, row) in rows.iter().enumerate() {
+        for &(z, p) in row {
+            out.row_mut(z.index())[filled[z.index()]] = (EntityId::from_index(i), p);
+            filled[z.index()] += 1;
+        }
+    }
+    out
 }
 
 impl EquivStore {
     /// An empty store sized for `n1` KB-1 entities and `n2` KB-2 entities.
     pub fn new(n1: usize, n2: usize) -> Self {
         EquivStore {
-            forward: vec![Vec::new(); n1],
-            backward: vec![Vec::new(); n2],
+            forward: Rows::empty(n1),
+            backward: Rows::empty(n2),
         }
     }
 
@@ -35,18 +58,16 @@ impl EquivStore {
     /// index. Rows need not be sorted; zero and sub-threshold entries
     /// should already have been dropped by the caller.
     pub fn from_rows(rows: Vec<Vec<(EntityId, f64)>>, n2: usize) -> Self {
-        let mut forward = rows;
-        let mut backward: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); n2];
-        for (i, row) in forward.iter_mut().enumerate() {
-            row.sort_unstable_by_key(|&(e, _)| e);
-            let x1 = EntityId::from_index(i);
-            for &(x2, p) in row.iter() {
-                backward[x2.index()].push((x1, p));
-            }
+        Self::from_packed(rows.into_iter().collect(), n2)
+    }
+
+    /// [`from_rows`](Self::from_rows) for rows already packed into one
+    /// buffer.
+    pub fn from_packed(mut forward: Rows<(EntityId, f64)>, n2: usize) -> Self {
+        for i in 0..forward.len() {
+            forward.row_mut(i).sort_unstable_by_key(|&(e, _)| e);
         }
-        for row in &mut backward {
-            row.sort_unstable_by_key(|&(e, _)| e);
-        }
+        let backward = transposed(&forward, n2);
         EquivStore { forward, backward }
     }
 
@@ -56,22 +77,21 @@ impl EquivStore {
     /// delta appended entities.
     pub fn expanded(&self, n1: usize, n2: usize) -> EquivStore {
         assert!(
-            n1 >= self.forward.len() && n2 >= self.backward.len(),
+            n1 >= self.len_kb1() && n2 >= self.len_kb2(),
             "expanded() cannot shrink a store ({}×{} → {n1}×{n2})",
-            self.forward.len(),
-            self.backward.len(),
+            self.len_kb1(),
+            self.len_kb2(),
         );
-        let mut forward = self.forward.clone();
-        forward.resize(n1, Vec::new());
-        let mut backward = self.backward.clone();
-        backward.resize(n2, Vec::new());
-        EquivStore { forward, backward }
+        let mut out = self.clone();
+        out.forward.grow_to(n1);
+        out.backward.grow_to(n2);
+        out
     }
 
     /// A copy of all forward rows (one per KB-1 entity), the format
     /// [`from_rows`](Self::from_rows) consumes.
     pub fn to_rows(&self) -> CandidateRows {
-        self.forward.clone()
+        self.forward.iter().map(<[_]>::to_vec).collect()
     }
 
     /// Replaces the rows of the given KB-1 entities in place, maintaining
@@ -83,23 +103,33 @@ impl EquivStore {
         &mut self,
         changes: impl IntoIterator<Item = (EntityId, Vec<(EntityId, f64)>)>,
     ) {
+        let mut back: Vec<(EntityId, f64)> = Vec::new();
         for (x, mut row) in changes {
             row.sort_unstable_by_key(|&(e, _)| e);
-            let old = std::mem::replace(&mut self.forward[x.index()], row);
+            let old = self.forward.row(x.index()).to_vec();
+            self.forward.set(x.index(), &row);
             for (z, _) in old {
-                let back = &mut self.backward[z.index()];
-                if let Ok(pos) = back.binary_search_by_key(&x, |&(e, _)| e) {
-                    back.remove(pos);
-                }
+                back.clear();
+                back.extend(
+                    self.backward
+                        .row(z.index())
+                        .iter()
+                        .filter(|&&(e, _)| e != x),
+                );
+                self.backward.set(z.index(), &back);
             }
-            for &(z, p) in &self.forward[x.index()] {
-                let back = &mut self.backward[z.index()];
+            for &(z, p) in &row {
+                back.clear();
+                back.extend_from_slice(self.backward.row(z.index()));
                 match back.binary_search_by_key(&x, |&(e, _)| e) {
                     Ok(pos) => back[pos].1 = p,
                     Err(pos) => back.insert(pos, (x, p)),
                 }
+                self.backward.set(z.index(), &back);
             }
         }
+        self.forward.compact_if_sparse();
+        self.backward.compact_if_sparse();
     }
 
     /// The number of KB-1 rows.
@@ -115,38 +145,39 @@ impl EquivStore {
     /// Candidates of a KB-1 entity, sorted by KB-2 entity id.
     #[inline]
     pub fn candidates(&self, x: EntityId) -> &[(EntityId, f64)] {
-        &self.forward[x.index()]
+        self.forward.row(x.index())
     }
 
     /// Candidates of a KB-2 entity, sorted by KB-1 entity id.
     #[inline]
     pub fn candidates_rev(&self, x2: EntityId) -> &[(EntityId, f64)] {
-        &self.backward[x2.index()]
+        self.backward.row(x2.index())
     }
 
     /// `Pr(x ≡ x′)`, zero if unknown.
     pub fn prob(&self, x: EntityId, x2: EntityId) -> f64 {
-        match self.forward[x.index()].binary_search_by_key(&x2, |&(e, _)| e) {
-            Ok(i) => self.forward[x.index()][i].1,
+        let row = self.candidates(x);
+        match row.binary_search_by_key(&x2, |&(e, _)| e) {
+            Ok(i) => row[i].1,
             Err(_) => 0.0,
         }
     }
 
     /// Total number of stored (non-zero) equivalences.
     pub fn num_pairs(&self) -> usize {
-        self.forward.iter().map(Vec::len).sum()
+        self.forward.num_items()
     }
 
     /// The maximal assignment (§4.2): for each KB-1 entity, the KB-2
     /// candidate with the maximum score. Ties break toward the smallest
     /// entity id, making runs deterministic.
     pub fn maximal_assignment(&self) -> Vec<Option<(EntityId, f64)>> {
-        self.forward.iter().map(|row| best_of(row)).collect()
+        self.forward.iter().map(best_of).collect()
     }
 
     /// The maximal assignment in the KB-2 → KB-1 direction.
     pub fn maximal_assignment_rev(&self) -> Vec<Option<(EntityId, f64)>> {
-        self.backward.iter().map(|row| best_of(row)).collect()
+        self.backward.iter().map(best_of).collect()
     }
 
     /// Counts how many KB-1 entities have a different maximal assignment
@@ -162,13 +193,15 @@ impl EquivStore {
         );
         self.forward
             .iter()
-            .zip(&other.forward)
+            .zip(other.forward.iter())
             .filter(|(a, b)| best_of(a).map(|(e, _)| e) != best_of(b).map(|(e, _)| e))
             .count()
     }
 }
 
-fn best_of(row: &[(EntityId, f64)]) -> Option<(EntityId, f64)> {
+/// The maximal-assignment pick of one sorted row: the highest score,
+/// ties to the smallest id.
+pub(crate) fn best_of(row: &[(EntityId, f64)]) -> Option<(EntityId, f64)> {
     let mut best: Option<(EntityId, f64)> = None;
     for &(e, p) in row {
         match best {
@@ -236,6 +269,11 @@ impl CandidateView {
     #[inline]
     pub fn candidates(&self, y: EntityId) -> &[(EntityId, f64)] {
         &self.rows[y.index()]
+    }
+
+    /// Replaces the candidates of entity `y`.
+    pub(crate) fn set_row(&mut self, y: EntityId, row: Vec<(EntityId, f64)>) {
+        self.rows[y.index()] = row;
     }
 
     /// Number of entities covered.
@@ -349,6 +387,55 @@ mod tests {
             );
         }
         assert_eq!(s.num_pairs(), rebuilt.num_pairs());
+    }
+
+    /// Many rounds of growing and shrinking rows move rows to the end of
+    /// the buffers and compact them; the store still equals a rebuild.
+    #[test]
+    fn repeated_replacements_match_full_rebuild() {
+        let (n1, n2) = (40, 30);
+        let mut rows: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); n1];
+        let mut s = EquivStore::new(n1, n2);
+        let mut state = 7u64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % m
+        };
+        for round in 0..3000 {
+            let x = next(n1);
+            let mut row: Vec<(EntityId, f64)> = (0..next(6))
+                .map(|_| (e(next(n2)), (round % 97) as f64 / 97.0 + 0.01))
+                .collect();
+            row.sort_unstable_by_key(|&(z, _)| z);
+            row.dedup_by_key(|&mut (z, _)| z);
+            rows[x] = row.clone();
+            s.replace_rows([(e(x), row)]);
+        }
+        let rebuilt = EquivStore::from_rows(rows, n2);
+        for i in 0..n1 {
+            assert_eq!(s.candidates(e(i)), rebuilt.candidates(e(i)), "fwd {i}");
+        }
+        for i in 0..n2 {
+            assert_eq!(
+                s.candidates_rev(e(i)),
+                rebuilt.candidates_rev(e(i)),
+                "bwd {i}"
+            );
+        }
+        assert_eq!(s.num_pairs(), rebuilt.num_pairs());
+    }
+
+    #[test]
+    fn expanded_keeps_rows_and_adds_empty_ones() {
+        let s = EquivStore::from_rows(vec![vec![(e(1), 0.9)], vec![(e(0), 0.4)]], 2);
+        let t = s.expanded(3, 4);
+        assert_eq!((t.len_kb1(), t.len_kb2()), (3, 4));
+        assert_eq!(t.candidates(e(0)), &[(e(1), 0.9)]);
+        assert!(t.candidates(e(2)).is_empty());
+        assert_eq!(t.candidates_rev(e(1)), &[(e(0), 0.9)]);
+        assert!(t.candidates_rev(e(3)).is_empty());
     }
 
     #[test]

@@ -37,12 +37,13 @@ use paris_kb::delta::{apply_owned, AppliedDelta, DeltaError, KbDelta};
 use paris_kb::{EntityId, EntityKind, FxHashSet, Kb, RelationId};
 
 use crate::config::ParisConfig;
+use crate::equiv::best_of;
 use crate::instance::instance_pass_subset;
-use crate::iteration::{forward_view, reverse_view, AlignmentResult, IterationStats};
+use crate::iteration::{forward_view, reverse_view, view_row, AlignmentResult, IterationStats};
 use crate::literal_bridge::LiteralBridge;
 use crate::owned::{AlignedPairSnapshot, OwnedAlignment};
 use crate::subclass::subclass_pass;
-use crate::subrel::score_relation;
+use crate::subrel::score_relations;
 
 /// Thresholds bounding dirty-set propagation.
 #[derive(Clone, Debug)]
@@ -280,18 +281,17 @@ pub fn realign_incremental_traced<'a>(
     };
 
     // ---- the warm fixpoint loop ----------------------------------------
-    // One forward candidate view is carried across iterations and rebuilt
-    // only when equalities actually moved; the reverse view (for the KB-2
+    // One forward candidate view is carried across iterations, its rows
+    // patched where equalities actually moved; the reverse view (for the KB-2
     // sub-relation direction) is built only in iterations that rescore a
     // KB-2 relation; the assigned-instance count and assignment-change
     // count are maintained from the changed rows alone. This keeps a
     // settling iteration at O(dirty), not O(KB).
     let mut iterations: Vec<IterationStats> = Vec::new();
     let mut cand = forward_view(kb1, &equiv, &bridge, config, informed);
-    let mut assigned = equiv
-        .maximal_assignment()
-        .iter()
-        .filter(|a| a.is_some())
+    let mut assigned = kb1
+        .entities()
+        .filter(|&x| !equiv.candidates(x).is_empty())
         .count();
     for iteration in 1..=config.max_iterations {
         if dirty_instances.is_empty() && dirty_rel1.is_empty() && dirty_rel2.is_empty() {
@@ -322,7 +322,7 @@ pub fn realign_incremental_traced<'a>(
                     let w = changed2.entry(z).or_insert(0.0);
                     *w = w.max(delta);
                 }
-                if best_target(old) != best_target(&row) {
+                if best_of(old).map(|(e, _)| e) != best_of(&row).map(|(e, _)| e) {
                     changed += 1;
                 }
                 match (old.is_empty(), row.is_empty()) {
@@ -335,9 +335,12 @@ pub fn realign_incremental_traced<'a>(
             }
         }
         let changed1: Vec<EntityId> = changed_rows.iter().map(|&(x, _)| x).collect();
-        if !changed_rows.is_empty() {
-            equiv.replace_rows(changed_rows);
-            cand = forward_view(kb1, &equiv, &bridge, config, informed);
+        equiv.replace_rows(changed_rows);
+        for &x in &changed1 {
+            cand.set_row(
+                x,
+                view_row(equiv.candidates(x), bridge.candidates(x), config),
+            );
         }
         let instance_seconds = paris_obs::span::seconds_since(t0);
 
@@ -363,8 +366,7 @@ pub fn realign_incremental_traced<'a>(
         );
         let mut changed_rel1: Vec<RelationId> = Vec::new();
         let mut changed_rel2: Vec<RelationId> = Vec::new();
-        for &r in &dirty_rel1 {
-            let row = score_relation(kb1, kb2, &cand, config, r);
+        for (r, row) in score_relations(kb1, kb2, &cand, config, dirty_rel1.iter().copied()) {
             if !rows_close(subrel.row_1to2(r), &row, options.relation_epsilon) {
                 changed_rel1.push(r);
             }
@@ -372,8 +374,9 @@ pub fn realign_incremental_traced<'a>(
         }
         if !dirty_rel2.is_empty() {
             let cand_rev = reverse_view(kb2, &equiv, &bridge, config, informed);
-            for &r2 in &dirty_rel2 {
-                let row = score_relation(kb2, kb1, &cand_rev, config, r2);
+            for (r2, row) in
+                score_relations(kb2, kb1, &cand_rev, config, dirty_rel2.iter().copied())
+            {
                 if !rows_close(subrel.row_2to1(r2), &row, options.relation_epsilon) {
                     changed_rel2.push(r2);
                 }
@@ -547,20 +550,6 @@ fn row_delta(a: &[(EntityId, f64)], b: &[(EntityId, f64)]) -> f64 {
             (None, None) => return delta,
         }
     }
-}
-
-/// The maximal-assignment target of one candidate row (highest
-/// probability; ties break toward the smallest id, matching
-/// [`EquivStore::maximal_assignment`]).
-fn best_target(row: &[(EntityId, f64)]) -> Option<EntityId> {
-    let mut best: Option<(EntityId, f64)> = None;
-    for &(e, p) in row {
-        match best {
-            Some((_, bp)) if p <= bp => {}
-            _ => best = Some((e, p)),
-        }
-    }
-    best.map(|(e, _)| e)
 }
 
 /// Report of one [`update_snapshot`] call.

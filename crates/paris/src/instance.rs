@@ -24,7 +24,7 @@
 //! therefore materialize only when they share at least one (probabilistic)
 //! neighbour with `x`.
 
-use paris_kb::{EntityId, EntityKind, FxHashMap, Kb};
+use paris_kb::{EntityId, EntityKind, FxHashMap, Kb, RelationId};
 
 use crate::config::ParisConfig;
 use crate::equiv::CandidateView;
@@ -69,11 +69,15 @@ pub fn instance_pass_subset(
     let threads = config
         .effective_threads()
         .min(subset.len().div_ceil(64).max(1));
-    if threads <= 1 {
-        return subset
+    let score_shard = |shard: &[EntityId]| {
+        let mut acc = Accumulator::new(kb2.num_entities());
+        shard
             .iter()
-            .map(|&x| (x, score_row(kb1, kb2, x, cand, subrel, config)))
-            .collect();
+            .map(|&x| (x, score_row(kb1, kb2, x, cand, subrel, config, &mut acc)))
+            .collect::<Vec<_>>()
+    };
+    if threads <= 1 {
+        return score_shard(subset);
     }
 
     // Shard instances across worker threads; each entity's row is
@@ -83,14 +87,7 @@ pub fn instance_pass_subset(
     let results: Vec<ShardResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = subset
             .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard
-                        .iter()
-                        .map(|&x| (x, score_row(kb1, kb2, x, cand, subrel, config)))
-                        .collect::<Vec<_>>()
-                })
-            })
+            .map(|shard| scope.spawn(|| score_shard(shard)))
             .collect();
         handles
             .into_iter()
@@ -98,6 +95,52 @@ pub fn instance_pass_subset(
             .collect()
     });
     results.into_iter().flatten().collect()
+}
+
+/// One worker's dense Eq. 13 product accumulator: a slot per KB-2 entity
+/// plus the list of slots the current row touched.
+///
+/// Only factors `< 1.0` are multiplied in, so a slot holding exactly `1.0`
+/// is untouched (`0.0` cannot serve: a factor may be exactly zero). A row
+/// is read out through `touched`, which also resets its slots, so one
+/// allocation serves every row of a shard. Hub neighbours (a year literal
+/// shared by a thousand statements) make a row touch many candidates that
+/// the cutoff then drops; a flat slot array keeps each touch to one load
+/// and one store.
+struct Accumulator {
+    prod: Vec<f64>,
+    touched: Vec<EntityId>,
+}
+
+impl Accumulator {
+    fn new(n2: usize) -> Self {
+        Accumulator {
+            prod: vec![1.0; n2],
+            touched: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn multiply(&mut self, z: EntityId, factor: f64) {
+        let slot = &mut self.prod[z.index()];
+        if *slot == 1.0 {
+            self.touched.push(z);
+        }
+        *slot *= factor;
+    }
+
+    /// The touched candidates with `1 − ∏` at or above `cutoff`, in touch
+    /// order; every slot is reset to untouched.
+    fn drain(&mut self, cutoff: f64) -> Vec<(EntityId, f64)> {
+        let prod = &mut self.prod;
+        self.touched
+            .drain(..)
+            .filter_map(|z| {
+                let p = 1.0 - std::mem::replace(&mut prod[z.index()], 1.0);
+                (p >= cutoff).then_some((z, p))
+            })
+            .collect()
+    }
 }
 
 /// Scores all candidates of one KB-1 instance.
@@ -108,21 +151,18 @@ fn score_row(
     cand: &CandidateView,
     subrel: &SubrelStore,
     config: &ParisConfig,
+    acc: &mut Accumulator,
 ) -> Vec<(EntityId, f64)> {
-    // Product accumulator per candidate x′ (the big ∏ of Eq. 13).
-    let mut acc: FxHashMap<EntityId, f64> = FxHashMap::default();
-
+    // The big ∏ of Eq. 13, one slot per candidate x′.
     for &(r, y) in kb1.facts(x) {
         let fun_inv_r = kb1.functionality(r.inverse());
         for &(y2, p_yy) in cand.candidates(y) {
             // Statements r′(x′, y′) with y′ = y2: each adjacency entry
             // (q, z) of y2 means q(y2, z), i.e. q⁻¹(z, y2) — so r′ = q⁻¹,
-            // x′ = z.
-            for &(q, z) in kb2.facts(y2) {
-                if kb2.kind(z) != EntityKind::Instance {
-                    continue;
-                }
-                let r2 = q.inverse();
+            // x′ = z. The factor depends on q alone, so it is evaluated
+            // once per run of equal q (adjacency is sorted by relation).
+            for run in kb2.facts(y2).chunk_by(|a, b| a.0 == b.0) {
+                let r2 = run[0].0.inverse();
                 let p_r2_in_r = subrel.prob_2in1(r2, r);
                 let p_r_in_r2 = subrel.prob_1in2(r, r2);
                 if p_r2_in_r == 0.0 && p_r_in_r2 == 0.0 {
@@ -132,18 +172,18 @@ fn score_row(
                 let factor =
                     (1.0 - p_r2_in_r * fun_inv_r * p_yy) * (1.0 - p_r_in_r2 * fun_inv_r2 * p_yy);
                 if factor < 1.0 {
-                    *acc.entry(z).or_insert(1.0) *= factor;
+                    for &(_, z) in run {
+                        if kb2.kind(z) == EntityKind::Instance {
+                            acc.multiply(z, factor);
+                        }
+                    }
                 }
             }
         }
     }
 
     let cutoff = config.effective_cutoff(subrel.is_bootstrap());
-    let mut row: Vec<(EntityId, f64)> = acc
-        .into_iter()
-        .map(|(x2, prod)| (x2, 1.0 - prod))
-        .filter(|&(_, p)| p >= cutoff)
-        .collect();
+    let mut row = acc.drain(cutoff);
 
     // Negative evidence needs informed sub-relation links AND informed
     // neighbour probabilities. During the bootstrap iteration every
@@ -153,8 +193,15 @@ fn score_row(
     // neighbour at Pr ≈ 2θ would read as ~80 % mismatched). Eq. 14 fires
     // only once both inputs carry computed scores.
     if config.negative_evidence && !subrel.is_bootstrap() && cand.is_informed() && !row.is_empty() {
+        // The sub-relation links of each run of equal r in x's facts,
+        // looked up once per row rather than once per candidate × fact.
+        let links: Vec<Vec<(RelationId, f64, f64)>> = kb1
+            .facts(x)
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| subrel.links_of_kb1(run[0].0, kb2.num_directed_relations()))
+            .collect();
         for (x2, p) in &mut row {
-            *p *= negative_factor(kb1, kb2, x, *x2, cand, subrel);
+            *p *= negative_factor(kb1, kb2, x, *x2, cand, &links);
         }
         row.retain(|&(_, p)| p >= cutoff);
     }
@@ -164,50 +211,54 @@ fn score_row(
 }
 
 /// The Eq. 14 negative-evidence product for one candidate pair `(x, x′)`.
+/// `links` holds [`SubrelStore::links_of_kb1`] of each run of equal
+/// relations in `x`'s facts.
 fn negative_factor(
     kb1: &Kb,
     kb2: &Kb,
     x: EntityId,
     x2: EntityId,
     cand: &CandidateView,
-    subrel: &SubrelStore,
+    links: &[Vec<(RelationId, f64, f64)>],
 ) -> f64 {
     // Group x′'s statements by directed relation: r′ → [y′].
-    let mut facts2: FxHashMap<paris_kb::RelationId, Vec<EntityId>> = FxHashMap::default();
+    let mut facts2: FxHashMap<RelationId, Vec<EntityId>> = FxHashMap::default();
     for &(q, y2) in kb2.facts(x2) {
         facts2.entry(q).or_default().push(y2);
     }
 
     let mut neg = 1.0;
-    for &(r, y) in kb1.facts(x) {
-        let fun_r = kb1.functionality(r);
-        // Pr(y ≡ ·) as a probe map for the inner products.
-        let y_cands = cand.candidates(y);
-        for (r2, p_r_in_r2, p_r2_in_r) in subrel.links_of_kb1(r, kb2.num_directed_relations()) {
-            if p_r_in_r2 == 0.0 && p_r2_in_r == 0.0 {
-                continue;
-            }
-            // ∏_{y′ : r′(x′, y′)} (1 − Pr(y ≡ y′)); empty product = 1
-            // (the paper's convention when x′ lacks the relation, which
-            // *keeps* the penalty factors below < 1).
-            let mut inner = 1.0;
-            if let Some(ys) = facts2.get(&r2) {
-                for &y2 in ys {
-                    let p = y_cands
-                        .iter()
-                        .find(|&&(e, _)| e == y2)
-                        .map_or(0.0, |&(_, p)| p);
-                    inner *= 1.0 - p;
-                    if inner == 0.0 {
-                        break;
+    for (run, run_links) in kb1.facts(x).chunk_by(|a, b| a.0 == b.0).zip(links) {
+        let fun_r = kb1.functionality(run[0].0);
+        for &(_, y) in run {
+            // Pr(y ≡ ·) as a probe map for the inner products.
+            let y_cands = cand.candidates(y);
+            for &(r2, p_r_in_r2, p_r2_in_r) in run_links {
+                if p_r_in_r2 == 0.0 && p_r2_in_r == 0.0 {
+                    continue;
+                }
+                // ∏_{y′ : r′(x′, y′)} (1 − Pr(y ≡ y′)); empty product = 1
+                // (the paper's convention when x′ lacks the relation, which
+                // *keeps* the penalty factors below < 1).
+                let mut inner = 1.0;
+                if let Some(ys) = facts2.get(&r2) {
+                    for &y2 in ys {
+                        let p = y_cands
+                            .iter()
+                            .find(|&&(e, _)| e == y2)
+                            .map_or(0.0, |&(_, p)| p);
+                        inner *= 1.0 - p;
+                        if inner == 0.0 {
+                            break;
+                        }
                     }
                 }
-            }
-            let fun_r2 = kb2.functionality(r2);
-            neg *= 1.0 - fun_r * p_r2_in_r * inner;
-            neg *= 1.0 - fun_r2 * p_r_in_r2 * inner;
-            if neg == 0.0 {
-                return 0.0;
+                let fun_r2 = kb2.functionality(r2);
+                neg *= 1.0 - fun_r * p_r2_in_r * inner;
+                neg *= 1.0 - fun_r2 * p_r_in_r2 * inner;
+                if neg == 0.0 {
+                    return 0.0;
+                }
             }
         }
     }

@@ -16,7 +16,7 @@ use paris_obs::trace::{AlignEvent, NullSink, TraceSink};
 use paris_rdf::Iri;
 
 use crate::config::ParisConfig;
-use crate::equiv::{CandidateView, EquivStore};
+use crate::equiv::{best_of, CandidateView, EquivStore};
 use crate::instance::instance_pass;
 use crate::literal_bridge::LiteralBridge;
 use crate::subclass::{subclass_pass, ClassAlignment};
@@ -76,10 +76,9 @@ impl AlignmentResult<'_> {
     /// The final maximal assignment restricted to instances:
     /// `(x, x′, Pr)` triples, one per assigned KB-1 instance.
     pub fn instance_pairs(&self) -> Vec<(EntityId, EntityId, f64)> {
-        let assign = self.instances.maximal_assignment();
         self.kb1
             .instances()
-            .filter_map(|x| assign[x.index()].map(|(x2, p)| (x, x2, p)))
+            .filter_map(|x| best_of(self.instances.candidates(x)).map(|(x2, p)| (x, x2, p)))
             .collect()
     }
 
@@ -505,27 +504,10 @@ pub(crate) fn forward_view(
     config: &ParisConfig,
     informed: bool,
 ) -> CandidateView {
-    let mut rows: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); kb1.num_entities()];
-    if config.propagate_all_equalities {
-        for x in kb1.entities() {
-            let cands = equiv.candidates(x);
-            if !cands.is_empty() {
-                rows[x.index()] = cands.to_vec();
-            }
-        }
-    } else {
-        for (i, best) in equiv.maximal_assignment().into_iter().enumerate() {
-            if let Some((x2, p)) = best {
-                rows[i].push((x2, p));
-            }
-        }
-    }
-    for l in kb1.literals() {
-        let cands = bridge.candidates(l);
-        if !cands.is_empty() {
-            rows[l.index()] = cands.to_vec();
-        }
-    }
+    let rows = kb1
+        .entities()
+        .map(|x| view_row(equiv.candidates(x), bridge.candidates(x), config))
+        .collect();
     if informed {
         CandidateView::new(rows)
     } else {
@@ -541,31 +523,30 @@ pub(crate) fn reverse_view(
     config: &ParisConfig,
     informed: bool,
 ) -> CandidateView {
-    let mut rows: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); kb2.num_entities()];
-    if config.propagate_all_equalities {
-        for x2 in kb2.entities() {
-            let cands = equiv.candidates_rev(x2);
-            if !cands.is_empty() {
-                rows[x2.index()] = cands.to_vec();
-            }
-        }
-    } else {
-        for (i, best) in equiv.maximal_assignment_rev().into_iter().enumerate() {
-            if let Some((x1, p)) = best {
-                rows[i].push((x1, p));
-            }
-        }
-    }
-    for l2 in kb2.literals() {
-        let cands = bridge.candidates_rev(l2);
-        if !cands.is_empty() {
-            rows[l2.index()] = cands.to_vec();
-        }
-    }
+    let rows = kb2
+        .entities()
+        .map(|x2| view_row(equiv.candidates_rev(x2), bridge.candidates_rev(x2), config))
+        .collect();
     if informed {
         CandidateView::new(rows)
     } else {
         CandidateView::uninformed(rows)
+    }
+}
+
+/// One entity's row of a candidate view, from its stored equalities and
+/// its literal-bridge row.
+pub(crate) fn view_row(
+    equalities: &[(EntityId, f64)],
+    literals: &[(EntityId, f64)],
+    config: &ParisConfig,
+) -> Vec<(EntityId, f64)> {
+    if !literals.is_empty() {
+        literals.to_vec()
+    } else if config.propagate_all_equalities {
+        equalities.to_vec()
+    } else {
+        best_of(equalities).into_iter().collect()
     }
 }
 

@@ -7,17 +7,23 @@
 //! both directions of the sparse `Pr(ℓ ≡ ℓ′)` table once, before the
 //! iteration starts.
 
-use paris_kb::{EntityId, FxHashMap, Kb};
+use paris_kb::{EntityId, EntityKind, FxHashMap, Kb, Rows};
 use paris_literals::LiteralSimilarity;
+
+use crate::equiv::{transposed, CandidateRows};
 
 /// The pre-computed literal bridge: candidate rows in both directions.
 #[derive(Clone, Debug)]
 pub struct LiteralBridge {
-    /// Per KB-1 entity (non-empty only for literals): KB-2 candidates.
-    forward: Vec<Vec<(EntityId, f64)>>,
-    /// Per KB-2 entity: KB-1 candidates.
-    backward: Vec<Vec<(EntityId, f64)>>,
+    /// Per KB-1 entity (non-empty only for literals): KB-2 candidates,
+    /// sorted by entity id.
+    forward: Rows<(EntityId, f64)>,
+    /// Per KB-2 entity: KB-1 candidates, sorted by entity id.
+    backward: Rows<(EntityId, f64)>,
 }
+
+/// End of a chain in [`LiteralBridge::build`]'s key index.
+const END: usize = usize::MAX;
 
 impl LiteralBridge {
     /// Joins the literals of `kb1` and `kb2` under `sim`.
@@ -26,65 +32,72 @@ impl LiteralBridge {
     /// per key, then one lookup per KB-1 literal key; probabilities are
     /// only evaluated for blocked candidate pairs.
     pub fn build(kb1: &Kb, kb2: &Kb, sim: &LiteralSimilarity) -> Self {
-        // Index KB-2 literals by blocking key.
-        let mut by_key: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
+        // Index KB-2 literals by blocking key: `head` holds a key's latest
+        // entry in `chain`, and each entry links to the one before it.
+        let literals2 = kb2.num_literals();
+        let mut head: FxHashMap<_, usize> = FxHashMap::default();
+        head.reserve(literals2);
+        let mut chain: Vec<(EntityId, usize)> = Vec::with_capacity(literals2);
         for l2 in kb2.literals() {
             let lit2 = kb2.literal(l2).expect("literals() yields literal entities");
             for key in sim.keys(lit2) {
-                by_key.entry(key).or_default().push(l2);
+                let next = head.insert(key, chain.len()).unwrap_or(END);
+                chain.push((l2, next));
             }
         }
 
-        let mut forward: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); kb1.num_entities()];
-        let mut backward: Vec<Vec<(EntityId, f64)>> = vec![Vec::new(); kb2.num_entities()];
+        let mut forward = Rows::default();
+        let mut row: Vec<(EntityId, f64)> = Vec::new();
         let mut seen: Vec<EntityId> = Vec::new();
-        for l1 in kb1.literals() {
-            let lit1 = kb1.literal(l1).expect("literals() yields literal entities");
-            seen.clear();
-            for key in sim.keys(lit1) {
-                if let Some(cands) = by_key.get(&key) {
-                    seen.extend_from_slice(cands);
+        for l1 in kb1.entities() {
+            row.clear();
+            if kb1.kind(l1) == EntityKind::Literal {
+                let lit1 = kb1.literal(l1).expect("literal entities carry a literal");
+                seen.clear();
+                for key in sim.keys(lit1) {
+                    let mut at = head.get(&key).copied().unwrap_or(END);
+                    while at != END {
+                        seen.push(chain[at].0);
+                        at = chain[at].1;
+                    }
+                }
+                seen.sort_unstable();
+                seen.dedup();
+                for &l2 in &seen {
+                    let lit2 = kb2.literal(l2).expect("candidate is a literal");
+                    let p = sim.probability(lit1, lit2);
+                    if p > 0.0 {
+                        row.push((l2, p));
+                    }
                 }
             }
-            seen.sort_unstable();
-            seen.dedup();
-            let row = &mut forward[l1.index()];
-            for &l2 in &*seen {
-                let lit2 = kb2.literal(l2).expect("candidate is a literal");
-                let p = sim.probability(lit1, lit2);
-                if p > 0.0 {
-                    row.push((l2, p));
-                    backward[l2.index()].push((l1, p));
-                }
-            }
+            forward.push_row(&row);
         }
-        for row in backward.iter_mut().chain(forward.iter_mut()) {
-            row.sort_unstable_by_key(|&(e, _)| e);
-            row.shrink_to_fit();
-        }
+        let backward = transposed(&forward, kb2.num_entities());
         LiteralBridge { forward, backward }
     }
 
     /// KB-2 candidates of a KB-1 entity (empty for non-literals).
     #[inline]
     pub fn candidates(&self, l1: EntityId) -> &[(EntityId, f64)] {
-        &self.forward[l1.index()]
+        self.forward.row(l1.index())
     }
 
     /// KB-1 candidates of a KB-2 entity.
     #[inline]
     pub fn candidates_rev(&self, l2: EntityId) -> &[(EntityId, f64)] {
-        &self.backward[l2.index()]
+        self.backward.row(l2.index())
     }
 
-    /// Consumes the bridge into its `(forward, backward)` rows.
-    pub fn into_rows(self) -> (crate::equiv::CandidateRows, crate::equiv::CandidateRows) {
-        (self.forward, self.backward)
+    /// The bridge as `(forward, backward)` candidate rows.
+    pub fn into_rows(self) -> (CandidateRows, CandidateRows) {
+        let to_rows = |rows: &Rows<_>| rows.iter().map(<[_]>::to_vec).collect();
+        (to_rows(&self.forward), to_rows(&self.backward))
     }
 
     /// Number of non-zero literal pairs.
     pub fn num_pairs(&self) -> usize {
-        self.forward.iter().map(Vec::len).sum()
+        self.forward.num_items()
     }
 }
 

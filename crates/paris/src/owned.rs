@@ -16,7 +16,7 @@ use paris_kb::snapshot::{
     decode_kb, encode_kb, read_file, write_file, PayloadReader, PayloadWriter, SnapshotError,
     SnapshotKind,
 };
-use paris_kb::{EntityId, Kb, RelationId};
+use paris_kb::{EntityId, Kb, RelationId, Rows};
 use paris_rdf::Iri;
 
 use crate::equiv::EquivStore;
@@ -200,10 +200,11 @@ impl OwnedAlignment {
                 kb2.num_entities(),
             )));
         }
-        let mut rows: Vec<Vec<(EntityId, f64)>> = Vec::with_capacity(n1);
+        let mut rows = Rows::default();
+        let mut row = Vec::new();
         for _ in 0..n1 {
             let len = r.get_len()?;
-            let mut row = Vec::with_capacity(len);
+            row.clear();
             for _ in 0..len {
                 let e = r.get_u32()?;
                 if e as usize >= n2 {
@@ -213,9 +214,9 @@ impl OwnedAlignment {
                 }
                 row.push((EntityId(e), r.get_f64()?));
             }
-            rows.push(row);
+            rows.push_row(&row);
         }
-        let instances = EquivStore::from_rows(rows, n2);
+        let instances = EquivStore::from_packed(rows, n2);
 
         // Sub-relation tables: the stored directed counts must match the
         // KBs exactly, and every target relation id must be in range on

@@ -19,7 +19,7 @@
 use paris_kb::{EntityId, FxHashMap, Kb};
 
 use crate::config::ParisConfig;
-use crate::equiv::EquivStore;
+use crate::equiv::{best_of, EquivStore};
 
 /// One directional class-inclusion score.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,20 +72,18 @@ pub fn subclass_pass(
     equiv: &EquivStore,
     config: &ParisConfig,
 ) -> ClassAlignment {
-    let fwd = equiv.maximal_assignment();
-    let rev = equiv.maximal_assignment_rev();
     ClassAlignment {
-        one_to_two: direction(kb1, kb2, &fwd, config),
-        two_to_one: direction(kb2, kb1, &rev, config),
+        one_to_two: direction(kb1, kb2, |x| best_of(equiv.candidates(x)), config),
+        two_to_one: direction(kb2, kb1, |x2| best_of(equiv.candidates_rev(x2)), config),
     }
 }
 
-/// One direction of Eq. 17, using the maximal assignment `assign`
-/// (indexed by source-KB entity id).
+/// One direction of Eq. 17, using the maximal assignment `assign` of
+/// source-KB entities.
 fn direction(
     src: &Kb,
     dst: &Kb,
-    assign: &[Option<(EntityId, f64)>],
+    assign: impl Fn(EntityId) -> Option<(EntityId, f64)>,
     config: &ParisConfig,
 ) -> Vec<ClassScore> {
     let mut out = Vec::new();
@@ -98,7 +96,7 @@ fn direction(
         let sampled = members.len().min(config.max_pairs);
         expected.clear();
         for &x in &members[..sampled] {
-            if let Some((x2, p)) = assign[x.index()] {
+            if let Some((x2, p)) = assign(x) {
                 // With a single candidate, 1 − ∏(1 − P) collapses to P for
                 // every class of x2.
                 for &c2 in dst.types_of(x2) {

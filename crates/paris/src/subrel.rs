@@ -201,14 +201,13 @@ pub fn subrelation_pass(
     config: &ParisConfig,
 ) -> Vec<Vec<(RelationId, f64)>> {
     let mut rows: Vec<Vec<(RelationId, f64)>> = vec![Vec::new(); src.num_directed_relations()];
-    let mut scratch = RelationScratch::default();
-    for r in src.directed_relations() {
-        rows[r.directed_index()] = score_relation_with(src, dst, cand, config, r, &mut scratch);
+    for (r, row) in score_relations(src, dst, cand, config, src.directed_relations()) {
+        rows[r.directed_index()] = row;
     }
     rows
 }
 
-/// Reusable accumulators for [`score_relation`], so a pass over many
+/// Reusable accumulators for [`score_relations`], so a pass over many
 /// relations does not reallocate per relation.
 #[derive(Default)]
 struct RelationScratch {
@@ -217,18 +216,27 @@ struct RelationScratch {
     y_probs: FxHashMap<paris_kb::EntityId, f64>,
 }
 
-/// Scores one directed relation `r` of `src` against every relation of
-/// `dst` — the Eq. 12 row [`subrelation_pass`] computes for each relation.
-/// Exposed separately for the incremental re-aligner, which refreshes only
-/// relations whose support sets were touched.
-pub fn score_relation(
+/// Scores the given directed relations `r` of `src` against every relation
+/// of `dst` — the Eq. 12 rows [`subrelation_pass`] computes for each
+/// relation. Exposed separately for the incremental re-aligner, which
+/// refreshes only relations whose support sets were touched.
+pub fn score_relations(
     src: &Kb,
     dst: &Kb,
     cand: &CandidateView,
     config: &ParisConfig,
-    r: RelationId,
-) -> Vec<(RelationId, f64)> {
-    score_relation_with(src, dst, cand, config, r, &mut RelationScratch::default())
+    relations: impl IntoIterator<Item = RelationId>,
+) -> Vec<(RelationId, Vec<(RelationId, f64)>)> {
+    let mut scratch = RelationScratch::default();
+    relations
+        .into_iter()
+        .map(|r| {
+            (
+                r,
+                score_relation_with(src, dst, cand, config, r, &mut scratch),
+            )
+        })
+        .collect()
 }
 
 fn score_relation_with(

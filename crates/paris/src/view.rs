@@ -540,8 +540,8 @@ impl<'a> AlignmentView<'a> {
     /// back to the delta/incremental APIs and v2 → v1 conversion.
     pub fn to_owned_alignment(&self) -> OwnedAlignment {
         let l = self.layout;
-        let rows: Vec<Vec<(EntityId, f64)>> = (0..l.n1).map(|i| self.row_in(&l.eq, i)).collect();
-        let instances = EquivStore::from_rows(rows, l.n2);
+        let rows = (0..l.n1).map(|i| self.row_in(&l.eq, i)).collect();
+        let instances = EquivStore::from_packed(rows, l.n2);
 
         let subrel_rows = |rows_layout: &RowsLayout, count: usize| -> Vec<Vec<(RelationId, f64)>> {
             let targets = &self.buf[rows_layout.targets.clone()];
@@ -632,26 +632,34 @@ impl MappedPairSnapshot {
                 arena.kind().name()
             )));
         }
-        let parallel = arena.file_len() >= 1 << 20
-            && std::thread::available_parallelism().map_or(1, |n| n.get()) >= 4;
-        let (sums, kb1, kb2) = if parallel {
-            // One flat scope, four lanes: two spawned checksum slices +
-            // the spawned KB-1 layout, while this thread takes the third
-            // checksum slice and the KB-2 layout. No nested spawns.
+        let lanes = if arena.file_len() >= 1 << 20 {
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
+        } else {
+            1
+        };
+        let (sums, kb1, kb2) = if lanes > 1 {
+            // One flat scope, one lane per core (at most four): lane i
+            // verifies checksum slice i of `lanes`; the last spawned lane
+            // also validates the KB-1 layout and this thread the KB-2
+            // layout. No nested spawns.
+            let arena = &arena;
             std::thread::scope(|scope| {
-                let c0 = scope.spawn(|| arena.verify_checksums_slice(0, 3));
-                let c1 = scope.spawn(|| arena.verify_checksums_slice(1, 3));
-                let kb1 = scope.spawn(|| KbLayout::validate(&arena, KB1_BASE));
-                let c2 = arena.verify_checksums_slice(2, 3);
-                let kb2 = KbLayout::validate(&arena, KB2_BASE);
-                let sums = c2
-                    .and(c0.join().expect("checksum thread panicked"))
-                    .and(c1.join().expect("checksum thread panicked"));
-                (
-                    sums,
-                    kb1.join().expect("kb1 validation thread panicked"),
-                    kb2,
-                )
+                let checks: Vec<_> = (1..lanes - 1)
+                    .map(|part| scope.spawn(move || arena.verify_checksums_slice(part, lanes)))
+                    .collect();
+                let last = scope.spawn(move || {
+                    (
+                        arena.verify_checksums_slice(lanes - 1, lanes),
+                        KbLayout::validate(arena, KB1_BASE),
+                    )
+                });
+                let mut sums = arena.verify_checksums_slice(0, lanes);
+                let kb2 = KbLayout::validate(arena, KB2_BASE);
+                for check in checks {
+                    sums = sums.and(check.join().expect("checksum thread panicked"));
+                }
+                let (last_sums, kb1) = last.join().expect("kb1 validation thread panicked");
+                (sums.and(last_sums), kb1, kb2)
             })
         } else {
             (
